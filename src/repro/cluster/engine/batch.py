@@ -49,11 +49,11 @@ planned from template pools gathered once from its ``servers_of``/
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, ContextManager
 
 import numpy as np
+
+from repro.obs.channel import Channel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.engine.lifecycle import RequestLifecycle
@@ -69,23 +69,15 @@ __all__ = [
 #: Requests per planned batch when batching is on without an explicit size.
 DEFAULT_BATCH_SIZE = 8192
 
-_local = threading.local()
+#: Ambient batch size (:class:`~repro.obs.channel.Channel`);
+#: :class:`~repro.cluster.engine.lifecycle.RequestLifecycle` reads it
+#: when its config carries no explicit ``batch_size``, so a harness
+#: (``run_all --batch-size``) can switch whole experiments over.
+BATCHING: Channel[int] = Channel("batching", int)
+get_batch_size = BATCHING.current
 
 
-def get_batch_size() -> int | None:
-    """The ambiently installed batch size, or ``None`` (scalar path).
-
-    :class:`~repro.cluster.engine.lifecycle.RequestLifecycle` consults
-    this when its config carries no explicit ``batch_size``, so a harness
-    (``run_all --batch-size``) can switch whole experiments over without
-    threading a knob through every ``SimulationConfig``.
-    """
-    stack = getattr(_local, "sizes", None)
-    return stack[-1] if stack else None
-
-
-@contextmanager
-def use_batching(batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[int]:
+def use_batching(batch_size: int = DEFAULT_BATCH_SIZE) -> ContextManager[int]:
     """Ambiently enable batched planning for the block."""
     if not isinstance(batch_size, int) or isinstance(batch_size, bool):
         raise TypeError(
@@ -93,14 +85,7 @@ def use_batching(batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[int]:
         )
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    stack = getattr(_local, "sizes", None)
-    if stack is None:
-        stack = _local.sizes = []
-    stack.append(batch_size)
-    try:
-        yield batch_size
-    finally:
-        stack.pop()
+    return BATCHING.use(batch_size)
 
 
 class _SegView:

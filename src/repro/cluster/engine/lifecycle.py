@@ -34,31 +34,16 @@ from repro.cluster.stragglers import StragglerInjector
 from repro.cluster.topology import ClusterTopology, as_cluster_spec
 from repro.common import ClusterSpec, make_rng
 from repro.obs import events as ev
-from repro.obs.causal import (
-    CausalCollector,
-    CausalConfig,
-    get_causal_config,
-    publish_causal,
-)
+from repro.obs.causal import CAUSAL, CausalCollector, CausalConfig
+from repro.obs.channel import Channel
 from repro.obs.metrics import get_registry
 from repro.obs.popularity import (
+    POPULARITY,
     PopularityConfig,
     PopularityMonitor,
-    get_popularity_config,
-    publish_popularity,
 )
-from repro.obs.slo import (
-    SLOConfig,
-    SLOMonitor,
-    get_slo_config,
-    publish_slo,
-)
-from repro.obs.timeline import (
-    TimelineCollector,
-    TimelineConfig,
-    get_timeline_config,
-    publish_timeline,
-)
+from repro.obs.slo import SLO, SLOConfig, SLOMonitor
+from repro.obs.timeline import TIMELINE, TimelineCollector, TimelineConfig
 from repro.obs.tracing import Tracer, get_tracer
 from repro.store.lru import LRUCache
 from repro.workloads.arrivals import ArrivalTrace
@@ -90,6 +75,16 @@ METRIC_SNAPSHOT_KEYS: tuple[str, ...] = (
     "imbalance_eta",
     "straggler_reads",
 )
+
+
+#: :class:`SimulationConfig` observer field -> the channel that carries
+#: its ambient config and its finalized sections.
+_OBSERVER_CHANNELS: dict[str, Channel] = {
+    "timeline": TIMELINE,
+    "popularity": POPULARITY,
+    "slo": SLO,
+    "causal": CAUSAL,
+}
 
 
 def planner_name(planner: object) -> str:
@@ -214,32 +209,15 @@ class SimulationConfig:
             raise ValueError("miss_penalty must be >= 1")
         if not 0 <= self.warmup_fraction < 1:
             raise ValueError("warmup_fraction must be in [0, 1)")
-        if self.timeline is not None and not isinstance(
-            self.timeline, TimelineConfig
-        ):
-            raise TypeError(
-                f"timeline must be a TimelineConfig or None, "
-                f"got {type(self.timeline).__name__}"
-            )
-        if self.popularity is not None and not isinstance(
-            self.popularity, PopularityConfig
-        ):
-            raise TypeError(
-                f"popularity must be a PopularityConfig or None, "
-                f"got {type(self.popularity).__name__}"
-            )
-        if self.slo is not None and not isinstance(self.slo, SLOConfig):
-            raise TypeError(
-                f"slo must be an SLOConfig or None, "
-                f"got {type(self.slo).__name__}"
-            )
-        if self.causal is not None and not isinstance(
-            self.causal, CausalConfig
-        ):
-            raise TypeError(
-                f"causal must be a CausalConfig or None, "
-                f"got {type(self.causal).__name__}"
-            )
+        for name, channel in _OBSERVER_CHANNELS.items():
+            value = getattr(self, name)
+            if value is not None and not isinstance(
+                value, channel.config_type
+            ):
+                raise TypeError(
+                    f"{name} must be {channel.config_type.__name__} or "
+                    f"None, got {type(value).__name__}"
+                )
         if self.batch_size is not None:
             if not isinstance(self.batch_size, int) or isinstance(
                 self.batch_size, bool
@@ -322,6 +300,11 @@ def _validate_inputs(trace: object, planner: object, cluster: object) -> None:
         )
 
 
+def _explicit_or_ambient(explicit, channel: Channel):
+    """A run's explicit config, else the channel's ambient one."""
+    return explicit if explicit is not None else channel.current()
+
+
 class RequestLifecycle:
     """Everything one run shares across disciplines.
 
@@ -342,7 +325,7 @@ class RequestLifecycle:
         config: SimulationConfig,
         engine: str,
     ) -> None:
-        from repro.cluster.engine.batch import BatchPlanner, get_batch_size
+        from repro.cluster.engine.batch import BATCHING, BatchPlanner
 
         _validate_inputs(trace, planner, cluster)
         if not isinstance(config, SimulationConfig):
@@ -364,11 +347,7 @@ class RequestLifecycle:
         self.cluster = cluster
         self.config = config
         self.engine = engine
-        self.batch_size = (
-            config.batch_size
-            if config.batch_size is not None
-            else get_batch_size()
-        )
+        self.batch_size = _explicit_or_ambient(config.batch_size, BATCHING)
         self.stream: WorkloadStream | None = None
         self.trace: ArrivalTrace | None
         if isinstance(trace, ArrivalTrace):
@@ -408,11 +387,7 @@ class RequestLifecycle:
         if self.emit and self.topology is not None:
             self.topology.emit_events(self.tracer)
         self.scheme = planner_name(planner)
-        timeline_config = (
-            config.timeline
-            if config.timeline is not None
-            else get_timeline_config()
-        )
+        timeline_config = _explicit_or_ambient(config.timeline, TIMELINE)
         self.collector: TimelineCollector | None = (
             TimelineCollector(
                 timeline_config,
@@ -424,13 +399,7 @@ class RequestLifecycle:
             if timeline_config is not None
             else None
         )
-        #: Hoisted timeline check — disabled collection must stay free.
-        self.observe = self.collector is not None
-        causal_config = (
-            config.causal
-            if config.causal is not None
-            else get_causal_config()
-        )
+        causal_config = _explicit_or_ambient(config.causal, CAUSAL)
         self.causal: CausalCollector | None = (
             CausalCollector(
                 causal_config,
@@ -450,10 +419,8 @@ class RequestLifecycle:
             c for c in (self.collector, self.causal) if c is not None
         )
         self.record = bool(self.recorders)
-        popularity_config = (
-            config.popularity
-            if config.popularity is not None
-            else get_popularity_config()
+        popularity_config = _explicit_or_ambient(
+            config.popularity, POPULARITY
         )
         self.popularity: PopularityMonitor | None = (
             PopularityMonitor(
@@ -468,7 +435,7 @@ class RequestLifecycle:
         )
         #: Hoisted popularity check — disabled observation must stay free.
         self.track = self.popularity is not None
-        slo_config = config.slo if config.slo is not None else get_slo_config()
+        slo_config = _explicit_or_ambient(config.slo, SLO)
         self.slo_monitor: SLOMonitor | None = (
             SLOMonitor(
                 slo_config,
@@ -661,7 +628,7 @@ class RequestLifecycle:
                 latencies=latencies,
                 warmup_fraction=self.config.warmup_fraction,
             )
-            publish_timeline(timeline)
+            TIMELINE.publish(timeline)
             if self.emit:
                 self._emit_timeline_windows(timeline)
         causal = None
@@ -672,13 +639,13 @@ class RequestLifecycle:
                 latencies=latencies,
                 warmup_fraction=self.config.warmup_fraction,
             )
-            publish_causal(causal)
+            CAUSAL.publish(causal)
             if self.emit:
                 self.causal.emit_spans(self.tracer)
         popularity = None
         if self.popularity is not None:
             popularity = self.popularity.finalize()
-            publish_popularity(popularity)
+            POPULARITY.publish(popularity)
         slo = None
         if self.slo_monitor is not None:
             slo = self.slo_monitor.evaluate(
@@ -688,7 +655,7 @@ class RequestLifecycle:
                 server_bytes=server_bytes,
                 popularity=popularity,
             )
-            publish_slo(slo)
+            SLO.publish(slo)
         return SimulationResult(
             latencies=latencies,
             arrival_times=self.trace.times.copy(),

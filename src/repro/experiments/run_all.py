@@ -49,14 +49,15 @@ import argparse
 import pathlib
 import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import ExitStack
 
 from repro.analysis.tables import format_table
-from repro.obs.causal import CausalConfig, collect_causal, use_causal
-from repro.obs.membership import collect_membership
+from repro.obs.causal import CAUSAL, CausalConfig, use_causal
+from repro.obs.membership import MEMBERSHIP
 from repro.obs.metrics import MetricsRegistry, set_registry
-from repro.obs.popularity import collect_popularity
+from repro.obs.popularity import POPULARITY
 from repro.obs.runinfo import build_manifest, write_manifest
-from repro.obs.slo import collect_slo, default_slo_config, parse_slo, use_slo
+from repro.obs.slo import SLO, default_slo_config, parse_slo, use_slo
 from repro.obs.spans import (
     SpanCollector,
     collect_spans,
@@ -64,6 +65,7 @@ from repro.obs.spans import (
     write_chrome_trace,
 )
 from repro.obs.timeline import (
+    TIMELINE,
     TimelineConfig,
     chrome_counter_events,
     collect_timelines,
@@ -81,6 +83,15 @@ from repro.experiments.registry import (
 
 __all__ = ["main", "run_experiment"]
 
+#: manifest section key -> the channel its sections are published on.
+_SECTION_CHANNELS = {
+    "timelines": TIMELINE,
+    "popularity": POPULARITY,
+    "slo": SLO,
+    "causal": CAUSAL,
+    "membership": MEMBERSHIP,
+}
+
 
 def run_experiment(
     name: str,
@@ -94,12 +105,13 @@ def run_experiment(
     Returns ``(rows, manifest)``.  The runner executes inside a root
     ``experiment`` span and against a private metrics registry, so the
     manifest's span forest and metrics snapshot describe exactly this
-    run.  Teardown is exception-safe: the process-wide registry (and the
-    span/timeline contexts, which unwind with the ``with`` blocks) is
-    restored even when the runner raises.  Span *events* still flow to
-    whatever tracer is installed, so a traced pass captures the full
-    hierarchy in its JSONL stream too.  ``params`` override the spec's
-    sweep parameters (``run_experiment("fig12", rate=22.0)``).
+    run.  Teardown is exception-safe: the process-wide registry, the span
+    collector, and every observer channel's configs and sinks unwind
+    with one ``ExitStack`` even when the runner raises.  Span *events*
+    still flow to whatever tracer is installed, so a traced pass
+    captures the full hierarchy in its JSONL stream too.  ``params``
+    override the spec's sweep parameters
+    (``run_experiment("fig12", rate=22.0)``).
     ``batch_size`` installs an ambient vectorized batch size for
     batchable specs (see :meth:`ExperimentSpec.run`); the value used is
     recorded in the manifest's config.  ``slo`` is a compact objective
@@ -112,44 +124,25 @@ def run_experiment(
     slo_config = parse_slo(slo) if slo is not None else default_slo_config()
     collector = SpanCollector()
     registry = MetricsRegistry()
-    timelines: list[dict] = []
-    popularity: list[dict] = []
-    slo_sections: list[dict] = []
-    causal_sections: list[dict] = []
-    membership_sections: list[dict] = []
-    previous = set_registry(registry)
-    try:
-        with collect_spans(collector):
-            # Popularity/SLO/membership sections are collected
-            # unconditionally: runs only publish them when a config opts
-            # in (the ambient SLO config below opts every simulated run
-            # in; membership sections come only from churn experiments),
-            # so the sinks are free for every other experiment.
-            with collect_popularity(popularity), collect_slo(slo_sections), \
-                    collect_membership(membership_sections):
-                with use_slo(slo_config):
-                    with span("experiment", experiment=spec.name):
-                        if spec.timeline:
-                            # Timeline experiments also collect causal
-                            # critical paths — the same per-partition
-                            # records feed both, and the sections are
-                            # deterministic so ``report --diff`` stays
-                            # clean.
-                            with collect_timelines(timelines), \
-                                    collect_causal(causal_sections):
-                                with use_timeline(TimelineConfig()), \
-                                        use_causal(CausalConfig()):
-                                    rows = spec.run(
-                                        scale=scale,
-                                        batch_size=batch_size,
-                                        **params,
-                                    )
-                        else:
-                            rows = spec.run(
-                                scale=scale, batch_size=batch_size, **params
-                            )
-    finally:
-        set_registry(previous)
+    sections: dict[str, list[dict]] = {key: [] for key in _SECTION_CHANNELS}
+    with ExitStack() as stack:
+        stack.callback(set_registry, set_registry(registry))
+        stack.enter_context(collect_spans(collector))
+        # Every channel's sections are collected: runs only publish when
+        # a config opts in (the ambient SLO config below opts every
+        # simulated run in; membership sections come only from churn
+        # experiments), so the sinks are free for every other experiment.
+        for key, channel in _SECTION_CHANNELS.items():
+            stack.enter_context(channel.collect(sections[key]))
+        stack.enter_context(use_slo(slo_config))
+        if spec.timeline:
+            # Timeline experiments also collect causal critical paths —
+            # the same per-partition records feed both, and the sections
+            # are deterministic so ``report --diff`` stays clean.
+            stack.enter_context(use_timeline(TimelineConfig()))
+            stack.enter_context(use_causal(CausalConfig()))
+        with span("experiment", experiment=spec.name):
+            rows = spec.run(scale=scale, batch_size=batch_size, **params)
     roots = [r for r in collector.roots() if r.name == "experiment"]
     wall_s = roots[0].wall_s if roots else 0.0
     config = {
@@ -173,11 +166,7 @@ def run_experiment(
         config=config,
         spans=collector.records,
         metrics=registry.snapshot(),
-        timelines=timelines,
-        popularity=popularity,
-        slo=slo_sections,
-        causal=causal_sections,
-        membership=membership_sections,
+        **sections,
     )
     return rows, manifest
 
@@ -324,9 +313,6 @@ def main(argv: list[str] | None = None) -> int:
         print(exc, file=sys.stderr)
         return 2
 
-    outdir = pathlib.Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-
     if args.batch_size is not None and args.batch_size < 1:
         print("--batch-size must be >= 1", file=sys.stderr)
         return 2
@@ -337,6 +323,9 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             print(f"--slo: {exc}", file=sys.stderr)
             return 2
+
+    outdir = pathlib.Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
 
     if args.jobs > 1:
         _run_parallel(

@@ -18,6 +18,10 @@ Cooperating pieces (each documented in its module, schema tables in
     Turn a JSONL trace back into per-server load vectors, load timelines,
     latency samples, metric snapshots, and span trees — what
     ``python -m repro stats`` prints.
+:mod:`repro.obs.channel`
+    The one thread-local ambient-config stack and nested section sinks
+    that every observer (and the engine's batch size) binds its
+    ``get_*``/``use_*``/``collect_*``/``publish_*`` names to.
 :mod:`repro.obs.timeline`
     Sim-time windowed timelines and tail-latency attribution: per-server
     busy/queue/bytes series keyed to simulated seconds, plus a bounded

@@ -57,7 +57,6 @@ and export as Chrome/Perfetto span trees with parent/child flow events
 from __future__ import annotations
 
 import itertools
-import threading
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar, Token
@@ -68,6 +67,7 @@ from typing import Any, Iterator
 import numpy as np
 
 from repro.obs import events as ev
+from repro.obs.channel import Channel
 from repro.obs.replay import load_events
 from repro.obs.tracing import Tracer, get_tracer
 
@@ -331,61 +331,13 @@ class CausalConfig:
             raise ValueError("tolerance must be positive")
 
 
-_local = threading.local()
-
-
-def get_causal_config() -> CausalConfig | None:
-    """The ambiently installed :class:`CausalConfig`, or ``None``.
-
-    :class:`~repro.cluster.engine.lifecycle.RequestLifecycle` consults
-    this when its config carries no explicit ``causal`` knob, matching
-    the timeline/popularity/SLO pattern.
-    """
-    stack = getattr(_local, "configs", None)
-    return stack[-1] if stack else None
-
-
-@contextmanager
-def use_causal(config: CausalConfig) -> Iterator[CausalConfig]:
-    """Ambiently enable causal collection for the block."""
-    if not isinstance(config, CausalConfig):
-        raise TypeError(
-            f"config must be a CausalConfig, got {type(config).__name__}"
-        )
-    stack = getattr(_local, "configs", None)
-    if stack is None:
-        stack = _local.configs = []
-    stack.append(config)
-    try:
-        yield config
-    finally:
-        stack.pop()
-
-
-@contextmanager
-def collect_causal(
-    into: list[dict[str, Any]] | None = None,
-) -> Iterator[list[dict[str, Any]]]:
-    """Collect every causal section published inside the block (nestable)."""
-    sink: list[dict[str, Any]] = into if into is not None else []
-    sinks = getattr(_local, "sinks", None)
-    if sinks is None:
-        sinks = _local.sinks = []
-    sinks.append(sink)
-    try:
-        yield sink
-    finally:
-        # Remove by identity: two empty list sinks compare equal.
-        for i in range(len(sinks) - 1, -1, -1):
-            if sinks[i] is sink:
-                del sinks[i]
-                break
-
-
-def publish_causal(section: dict[str, Any]) -> None:
-    """Hand one finalized section to every active collector."""
-    for sink in getattr(_local, "sinks", ()):
-        sink.append(section)
+#: Ambient :class:`CausalConfig` and causal section sinks
+#: (:class:`~repro.obs.channel.Channel`).
+CAUSAL: Channel[CausalConfig] = Channel("causal", CausalConfig)
+get_causal_config = CAUSAL.current
+use_causal = CAUSAL.use
+collect_causal = CAUSAL.collect
+publish_causal = CAUSAL.publish
 
 
 # -- the collector ---------------------------------------------------------

@@ -3,9 +3,9 @@
 :class:`~repro.cluster.topology.ClusterTopology` renders its epoch and
 event history as one JSON-able *membership section*
 (:meth:`~repro.cluster.topology.ClusterTopology.membership_section`);
-this module is the thread-local plumbing that carries those sections from
-wherever a churn experiment runs into the manifest builder — the same
-nested-sink pattern as :func:`repro.obs.timeline.collect_timelines`, so a
+this module's :class:`~repro.obs.channel.Channel` carries those sections
+from wherever a churn experiment runs into the manifest builder — the
+same nested thread-local sinks as every observer channel, so a
 session-level collector sees everything a per-experiment collector does.
 
 Manifests store the collected sections under the ``membership`` key
@@ -15,41 +15,18 @@ publish nothing and the key stays an empty list.
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Any
+
+from repro.obs.channel import Channel
 
 __all__ = [
     "collect_membership",
     "publish_membership",
 ]
 
-_local = threading.local()
-
-
-@contextmanager
-def collect_membership(
-    into: list[dict[str, Any]] | None = None,
-) -> Iterator[list[dict[str, Any]]]:
-    """Collect every membership section published inside the block.
-
-    Collectors nest: an inner ``collect_membership`` does not hide
-    sections from an outer one (both receive every publish).
-    """
-    sink: list[dict[str, Any]] = into if into is not None else []
-    sinks = getattr(_local, "sinks", None)
-    if sinks is None:
-        sinks = _local.sinks = []
-    sinks.append(sink)
-    try:
-        yield sink
-    finally:
-        # Remove by identity: two empty list sinks compare equal, so
-        # ``list.remove`` could detach the wrong one.
-        for i in range(len(sinks) - 1, -1, -1):
-            if sinks[i] is sink:
-                del sinks[i]
-                break
+#: Membership section sinks; the channel carries no ambient config.
+MEMBERSHIP: Channel[None] = Channel("membership")
+collect_membership = MEMBERSHIP.collect
 
 
 def publish_membership(section: dict[str, Any]) -> None:
@@ -63,5 +40,4 @@ def publish_membership(section: dict[str, Any]) -> None:
         raise ValueError(
             "a membership section must be a dict with an 'epochs' list"
         )
-    for sink in getattr(_local, "sinks", ()):
-        sink.append(section)
+    MEMBERSHIP.publish(section)

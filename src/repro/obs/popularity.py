@@ -41,15 +41,14 @@ they serialize into run manifests (schema version 3) and render through
 from __future__ import annotations
 
 import heapq
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from math import exp, log
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
 from repro.obs import events as ev
+from repro.obs.channel import Channel
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import Tracer, get_tracer
 
@@ -312,57 +311,13 @@ class PopularityConfig:
             raise ValueError("estimate_ids must be positive (or None)")
 
 
-# -- ambient config + section sinks (mirrors obs.timeline) -----------------
-
-_local = threading.local()
-
-
-def get_popularity_config() -> PopularityConfig | None:
-    """The ambiently installed :class:`PopularityConfig`, or ``None``."""
-    stack = getattr(_local, "configs", None)
-    return stack[-1] if stack else None
-
-
-@contextmanager
-def use_popularity(config: PopularityConfig) -> Iterator[PopularityConfig]:
-    """Ambiently enable popularity observation for the block."""
-    if not isinstance(config, PopularityConfig):
-        raise TypeError(
-            f"config must be a PopularityConfig, got {type(config).__name__}"
-        )
-    stack = getattr(_local, "configs", None)
-    if stack is None:
-        stack = _local.configs = []
-    stack.append(config)
-    try:
-        yield config
-    finally:
-        stack.pop()
-
-
-@contextmanager
-def collect_popularity(
-    into: list[dict[str, Any]] | None = None,
-) -> Iterator[list[dict[str, Any]]]:
-    """Collect every popularity section published inside the block."""
-    sink: list[dict[str, Any]] = into if into is not None else []
-    sinks = getattr(_local, "sinks", None)
-    if sinks is None:
-        sinks = _local.sinks = []
-    sinks.append(sink)
-    try:
-        yield sink
-    finally:
-        for i in range(len(sinks) - 1, -1, -1):
-            if sinks[i] is sink:
-                del sinks[i]
-                break
-
-
-def publish_popularity(section: dict[str, Any]) -> None:
-    """Hand one finalized section to every active collector."""
-    for sink in getattr(_local, "sinks", ()):
-        sink.append(section)
+#: Ambient :class:`PopularityConfig` and popularity section sinks
+#: (:class:`~repro.obs.channel.Channel`).
+POPULARITY: Channel[PopularityConfig] = Channel("popularity", PopularityConfig)
+get_popularity_config = POPULARITY.current
+use_popularity = POPULARITY.use
+collect_popularity = POPULARITY.collect
+publish_popularity = POPULARITY.publish
 
 
 # -- the monitor -----------------------------------------------------------
@@ -429,7 +384,7 @@ class PopularityMonitor:
     def observe(self, file_id, t=None, servers=None, sizes=None) -> None:
         """One request: buffer the file id and the fork-join load arrays.
 
-        Guard call sites with a hoisted flag (like ``lifecycle.observe``)
+        Guard call sites with a hoisted flag (like ``lifecycle.track``)
         so disabled observation stays free.  ``servers``/``sizes`` must
         be ndarrays and must not be mutated afterwards — only references
         are kept until the window folds.  ``t`` is simulated seconds;

@@ -132,6 +132,17 @@ _VERSIONED_FIELDS: dict[str, tuple[int, tuple[type, ...]]] = {
     "membership": (7, (list,)),
 }
 
+#: section list key -> the field every section in it must carry.  Runs
+#: publish these sections through their :class:`~repro.obs.channel.Channel`;
+#: ``build_manifest`` takes one keyword argument per key.
+_SECTION_FIELDS: dict[str, str] = {
+    "timelines": "scheme",
+    "popularity": "scheme",
+    "slo": "scheme",
+    "causal": "scheme",
+    "membership": "epochs",
+}
+
 
 def peak_rss_bytes() -> int | None:
     """This process's peak resident set size in bytes, if knowable.
@@ -208,19 +219,16 @@ def build_manifest(
     config: dict[str, Any] | None = None,
     spans: Iterable[Any] = (),
     metrics: dict[str, Any] | None = None,
-    timelines: Iterable[dict[str, Any]] = (),
-    popularity: Iterable[dict[str, Any]] = (),
-    slo: Iterable[dict[str, Any]] = (),
-    causal: Iterable[dict[str, Any]] = (),
-    membership: Iterable[dict[str, Any]] = (),
     peak_rss: int | None = None,
     total_requests: int | None = None,
+    **sections: Iterable[dict[str, Any]],
 ) -> dict[str, Any]:
     """Assemble and validate one current-schema manifest.
 
     ``spans`` accepts :class:`~repro.obs.spans.SpanRecord` objects or
     plain dicts; ``config`` is hashed with :func:`config_hash`;
-    ``timelines`` takes sections from :mod:`repro.obs.timeline`,
+    ``sections`` are keyword iterables of published sections, each
+    omitted one empty: ``timelines`` from :mod:`repro.obs.timeline`,
     ``popularity`` sections from :mod:`repro.obs.popularity`,
     ``slo`` sections from :mod:`repro.obs.slo`, ``causal``
     critical-path sections from :mod:`repro.obs.causal`, and
@@ -229,6 +237,11 @@ def build_manifest(
     time; ``total_requests`` defaults to summing the ``sim.requests``
     counters in ``metrics``.
     """
+    unknown = sorted(set(sections) - set(_SECTION_FIELDS))
+    if unknown:
+        raise TypeError(
+            f"build_manifest() got unexpected section(s) {', '.join(unknown)}"
+        )
     config = dict(config or {})
     metrics = dict(metrics or {})
     if peak_rss is None:
@@ -248,14 +261,11 @@ def build_manifest(
         "rows": [dict(r) for r in rows],
         "spans": _span_dicts(spans),
         "metrics": metrics,
-        "timelines": [dict(t) for t in timelines],
-        "popularity": [dict(p) for p in popularity],
-        "slo": [dict(s) for s in slo],
-        "causal": [dict(c) for c in causal],
-        "membership": [dict(m) for m in membership],
-        "peak_rss_bytes": peak_rss,
-        "total_requests": int(total_requests),
     }
+    for key in _SECTION_FIELDS:
+        manifest[key] = [dict(s) for s in sections.get(key, ())]
+    manifest["peak_rss_bytes"] = peak_rss
+    manifest["total_requests"] = int(total_requests)
     return validate_manifest(manifest)
 
 
@@ -312,34 +322,13 @@ def validate_manifest(manifest: Any) -> dict[str, Any]:
             )
         if s["wall_s"] < 0:
             raise ValueError(f"manifest span {i} has negative wall_s")
-    for i, section in enumerate(manifest.get("timelines", ())):
-        if not isinstance(section, dict) or "scheme" not in section:
-            raise ValueError(
-                f"manifest timeline {i} must be an object with a scheme"
-            )
-    for i, section in enumerate(manifest.get("popularity", ())):
-        if not isinstance(section, dict) or "scheme" not in section:
-            raise ValueError(
-                f"manifest popularity section {i} must be an object "
-                "with a scheme"
-            )
-    for i, section in enumerate(manifest.get("slo", ())):
-        if not isinstance(section, dict) or "scheme" not in section:
-            raise ValueError(
-                f"manifest slo section {i} must be an object with a scheme"
-            )
-    for i, section in enumerate(manifest.get("causal", ())):
-        if not isinstance(section, dict) or "scheme" not in section:
-            raise ValueError(
-                f"manifest causal section {i} must be an object "
-                "with a scheme"
-            )
-    for i, section in enumerate(manifest.get("membership", ())):
-        if not isinstance(section, dict) or "epochs" not in section:
-            raise ValueError(
-                f"manifest membership section {i} must be an object "
-                "with an epochs list"
-            )
+    for key, required in _SECTION_FIELDS.items():
+        for i, section in enumerate(manifest.get(key, ())):
+            if not isinstance(section, dict) or required not in section:
+                raise ValueError(
+                    f"manifest {key} section {i} must be an object "
+                    f"with a {required!r} key"
+                )
     return manifest
 
 

@@ -36,13 +36,12 @@ counter events (:func:`chrome_counter_events`), and render through the
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
+from repro.obs.channel import Channel
 from repro.obs.metrics import Histogram
 
 __all__ = [
@@ -96,70 +95,13 @@ class TimelineConfig:
             raise ValueError("reservoir_size must be >= 1")
 
 
-# -- ambient config + section sinks (mirrors spans.collect_spans) ---------
-
-_local = threading.local()
-
-
-def get_timeline_config() -> TimelineConfig | None:
-    """The ambiently installed :class:`TimelineConfig`, or ``None``.
-
-    :class:`~repro.cluster.engine.lifecycle.RequestLifecycle` consults
-    this when its config carries no explicit timeline, so a harness can
-    switch collection on for a whole block without threading a knob
-    through every call site.
-    """
-    stack = getattr(_local, "configs", None)
-    return stack[-1] if stack else None
-
-
-@contextmanager
-def use_timeline(config: TimelineConfig) -> Iterator[TimelineConfig]:
-    """Ambiently enable timeline collection for the block."""
-    if not isinstance(config, TimelineConfig):
-        raise TypeError(
-            f"config must be a TimelineConfig, got {type(config).__name__}"
-        )
-    stack = getattr(_local, "configs", None)
-    if stack is None:
-        stack = _local.configs = []
-    stack.append(config)
-    try:
-        yield config
-    finally:
-        stack.pop()
-
-
-@contextmanager
-def collect_timelines(
-    into: list[dict[str, Any]] | None = None,
-) -> Iterator[list[dict[str, Any]]]:
-    """Collect every timeline section published inside the block.
-
-    Collectors nest: an inner ``collect_timelines`` does not hide
-    sections from an outer one (both receive every publish), so a
-    session-level sink can accumulate what per-experiment sinks see.
-    """
-    sink: list[dict[str, Any]] = into if into is not None else []
-    sinks = getattr(_local, "sinks", None)
-    if sinks is None:
-        sinks = _local.sinks = []
-    sinks.append(sink)
-    try:
-        yield sink
-    finally:
-        # Remove by identity: two empty list sinks compare equal, so
-        # ``list.remove`` could detach the wrong one.
-        for i in range(len(sinks) - 1, -1, -1):
-            if sinks[i] is sink:
-                del sinks[i]
-                break
-
-
-def publish_timeline(section: dict[str, Any]) -> None:
-    """Hand one finalized section to every active collector."""
-    for sink in getattr(_local, "sinks", ()):
-        sink.append(section)
+#: Ambient :class:`TimelineConfig` and timeline section sinks
+#: (:class:`~repro.obs.channel.Channel`).
+TIMELINE: Channel[TimelineConfig] = Channel("timeline", TimelineConfig)
+get_timeline_config = TIMELINE.current
+use_timeline = TIMELINE.use
+collect_timelines = TIMELINE.collect
+publish_timeline = TIMELINE.publish
 
 
 # -- the collector --------------------------------------------------------
@@ -169,7 +111,7 @@ class TimelineCollector:
     """Buffers raw per-partition/per-request records during one run.
 
     Disciplines call the ``record_*`` hooks (guarded by the lifecycle's
-    hoisted ``observe`` flag); :meth:`finalize` does all aggregation.  A
+    hoisted ``record`` flag); :meth:`finalize` does all aggregation.  A
     discipline that never calls the partition hooks still finalizes to a
     valid (empty-series) section — attribution then charges everything to
     the ``join`` component.

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from repro.cluster.engine import get_batch_size
 from repro.experiments import registry as experiment_registry
 from repro.experiments.registry import experiment
 from repro.experiments.run_all import main, run_experiment
@@ -18,6 +19,8 @@ from repro.obs import (
     validate_manifest,
 )
 from repro.obs.report import diff_manifests
+from repro.obs.timeline import get_timeline_config
+from tests.test_obs.test_channel import assert_channels_idle
 
 
 def test_single_cheap_experiment(tmp_path, capsys):
@@ -62,6 +65,18 @@ def test_jobs_rejects_tracing_and_bad_counts(tmp_path, capsys):
     assert "--jobs" in err
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [["--batch-size", "0"], ["--slo", "p99<<"], ["--jobs", "0"],
+     ["--only", "fig99"]],
+    ids=["batch-size", "slo", "jobs", "only"],
+)
+def test_rejected_arguments_leave_no_out_dir(tmp_path, capsys, bad):
+    out = tmp_path / "results"
+    assert main([*bad, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_parallel_pass_matches_serial_modulo_wall(tmp_path, capsys):
     """Acceptance: a --jobs pass produces the same rows and diff-clean
     manifests (wall-clock spans excepted) as a serial pass."""
@@ -81,18 +96,22 @@ def test_parallel_pass_matches_serial_modulo_wall(tmp_path, capsys):
 
 def test_run_experiment_restores_registry_when_runner_raises():
     """Regression (teardown in try/finally): a raising runner must not
-    leak the private metrics registry into the process."""
+    leak the private metrics registry, an ambient observer config, or a
+    section sink into the process."""
 
-    @experiment(paper={"claim": "boom"}, name="zz_failing")
+    @experiment(paper={"claim": "boom"}, name="zz_failing", timeline=True)
     def run_zz_failing(scale: float = 1.0) -> list[dict]:
         """Deliberately failing spec."""
+        assert get_timeline_config() is not None
+        assert get_batch_size() == 16
         raise RuntimeError("runner exploded")
 
     before = get_registry()
     try:
         with pytest.raises(RuntimeError, match="runner exploded"):
-            run_experiment("zz_failing", scale=0.5)
+            run_experiment("zz_failing", scale=0.5, batch_size=16)
         assert get_registry() is before
+        assert_channels_idle()
         # The wrapper is reusable afterwards: telemetry contexts unwound.
         rows, manifest = run_experiment("fig06")
         assert manifest["experiment"] == "fig06" and rows
