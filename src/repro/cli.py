@@ -39,10 +39,15 @@ Subcommands
     ``cspan`` span trees.  ``--check`` gates on the conservation
     invariant (and full DAG reconstruction for traces); ``--chrome``
     exports span trees with parent->child flow arrows.
+``top`` / ``watch``
+    Render the hottest files, the estimated Zipf skew, the load
+    imbalance and the drift/hotspot alerts of popularity sections;
+    ``watch`` re-renders every ``--interval`` seconds.
 ``experiments``
     Regenerate evaluation tables and ``results/<exp>.json`` run
-    manifests (thin wrapper over ``repro.experiments.run_all``; also
-    forwards ``--trace`` / ``--chrome-trace``).  The experiment set is
+    manifests: ``repro.experiments.run_all`` with its own flags (both
+    parsers take them from ``run_all.add_arguments``, and the parsed
+    namespace goes straight to ``run_all.run``).  The experiment set is
     the declarative registry (``repro.experiments.registry``):
     ``--list`` prints it, ``--only`` accepts comma-separated names and
     glob patterns (``--only 'fig1*'``), and ``--jobs N`` fans the pass
@@ -54,6 +59,14 @@ Subcommands
     wall-time or metric regressions (the CI gate).  ``--format
     openmetrics`` renders every manifest's metrics snapshot as one
     exposition with per-sample ``experiment`` labels.
+
+The viewers share one input loader.  ``timeline``, ``tail``,
+``critical`` and ``top``/``watch`` read a run manifest, a bare JSON list
+of sections, or one section object; ``critical``, ``top``/``watch`` and
+``dash`` also rebuild from a JSONL trace, and ``dash`` reads no bare
+sections.  A missing or unreadable input exits 2 (``watch`` keeps
+waiting until ``--frames`` runs out).  Counts and intervals (``--top``,
+``--k``, ``--frames``, ``--interval``, ``--idle-limit``) must be >= 0.
 
 ``simulate`` and ``compare`` accept ``--seed`` (reproducible runs),
 ``--json`` (machine-parseable output), ``--trace PATH`` (record the
@@ -87,6 +100,7 @@ from repro.cluster import (
 from repro.common import MB, ClusterSpec, Gbps
 from repro.obs import events as ev
 from repro.core import optimal_scale_factor, partition_counts
+from repro.experiments import run_all
 from repro.cluster.network import GoodputModel
 from repro.obs import (
     CausalConfig,
@@ -193,45 +207,38 @@ def _sample_every(value: str) -> int:
     return n
 
 
-def _add_sample_arg(parser: argparse.ArgumentParser) -> None:
+def _non_negative(kind):
+    """argparse type for counts and intervals: a ``kind`` value >= 0."""
+
+    def parse(value: str):
+        try:
+            number = kind(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {value!r}"
+            ) from None
+        if not number >= 0:  # also rejects NaN
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {value!r}")
+        return number
+
+    return parse
+
+
+_COUNT = _non_negative(int)
+_SECONDS = _non_negative(float)
+
+
+def _add_run_args(parser: argparse.ArgumentParser, *, out: bool = False) -> None:
+    """The run flags ``simulate``, ``compare`` and ``trace`` share.
+
+    ``out`` gives ``trace``'s variant: the JSONL trace always goes to
+    ``--out`` and the run is scalar, so ``--batch-size``, ``--json``
+    and ``--trace`` are left out.
+    """
+    parser.add_argument("--requests", type=int, default=3000)
     parser.add_argument(
-        "--sample",
-        type=_sample_every,
-        default=1,
-        metavar="N",
-        help=(
-            "head-sample the trace: keep 1-in-N read/read_done pairs "
-            "(both halves of a sampled pair always survive; default 1 = all)"
-        ),
+        "--stragglers", choices=sorted(_STRAGGLERS), default="natural"
     )
-
-
-def _add_batch_size_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        dest="batch_size",
-        metavar="B",
-        help=(
-            "plan requests in vectorized batches of B (bit-exact vs the "
-            "scalar engine; default runs scalar)"
-        ),
-    )
-
-
-def _add_causal_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--causal",
-        action="store_true",
-        help=(
-            "collect causal spans and critical-path edges (with --trace "
-            "or `trace`, request span trees are written as cspan events)"
-        ),
-    )
-
-
-def _add_discipline_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--discipline",
         type=_discipline_spec,
@@ -241,6 +248,46 @@ def _add_discipline_arg(parser: argparse.ArgumentParser) -> None:
             "server discipline from the engine registry: "
             f"{', '.join(available_disciplines())} "
             "(parameterised specs like 'limited(4)' work too)"
+        ),
+    )
+    if not out:
+        parser.add_argument(
+            "--batch-size",
+            type=int,
+            default=None,
+            dest="batch_size",
+            metavar="B",
+            help=(
+                "plan requests in vectorized batches of B (bit-exact vs "
+                "the scalar engine; default runs scalar)"
+            ),
+        )
+    parser.add_argument(
+        "--causal",
+        action="store_true",
+        help=(
+            "collect causal spans and critical-path edges (with --trace "
+            "or `trace`, request span trees are written as cspan events)"
+        ),
+    )
+    if out:
+        parser.add_argument("--out", required=True, metavar="PATH")
+    else:
+        parser.add_argument(
+            "--json", action="store_true", help="machine-parseable JSON output"
+        )
+        parser.add_argument(
+            "--trace", default=None, metavar="PATH",
+            help="also record a JSONL event trace to PATH",
+        )
+    parser.add_argument(
+        "--sample",
+        type=_sample_every,
+        default=1,
+        metavar="N",
+        help=(
+            "head-sample the trace: keep 1-in-N read/read_done pairs "
+            "(both halves of a sampled pair always survive; default 1 = all)"
         ),
     )
 
@@ -283,12 +330,6 @@ def _simulate_one(pop, cluster, scheme, args):
     return policy, result, summary
 
 
-def _trace_sink(path: str, sample: int):
-    """A JSONL file sink, head-sampled 1-in-``sample`` when ``sample > 1``."""
-    sink = FileSink(path)
-    return HeadSamplingSink(sink, sample) if sample > 1 else sink
-
-
 @contextmanager
 def _maybe_trace(path: str | None, sample: int = 1):
     """Install a JSONL file tracer for the block when ``path`` is given.
@@ -300,12 +341,24 @@ def _maybe_trace(path: str | None, sample: int = 1):
     if not path:
         yield None
         return
-    sink = _trace_sink(path, sample)
+    sink = FileSink(path)
+    if sample > 1:
+        sink = HeadSamplingSink(sink, sample)
     try:
         with use_tracer(Tracer(sink)):
             yield sink
     finally:
         sink.close()
+
+
+def _scheme_list(spec: str) -> list[str] | None:
+    """The ``--schemes`` names, or ``None`` after reporting an unknown one."""
+    schemes = [s.strip() for s in spec.split(",")]
+    for scheme in schemes:
+        if scheme not in _SCHEMES:
+            print(f"unknown scheme {scheme!r}", file=sys.stderr)
+            return None
+    return schemes
 
 
 def _print_rows(rows, args, title: str) -> None:
@@ -369,11 +422,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_compare(args) -> int:
     pop, cluster = _workload(args)
-    schemes = [s.strip() for s in args.schemes.split(",")]
-    for scheme in schemes:
-        if scheme not in _SCHEMES:
-            print(f"unknown scheme {scheme!r}", file=sys.stderr)
-            return 2
+    schemes = _scheme_list(args.schemes)
+    if schemes is None:
+        return 2
     rows = []
     with _maybe_trace(args.trace, args.sample) as sink:
         for scheme in schemes:
@@ -424,18 +475,12 @@ def _cmd_configure(args) -> int:
 def _cmd_trace(args) -> int:
     """Run scheme(s) with a JSONL file sink installed, then summarize."""
     pop, cluster = _workload(args)
-    schemes = [s.strip() for s in args.schemes.split(",")]
-    for scheme in schemes:
-        if scheme not in _SCHEMES:
-            print(f"unknown scheme {scheme!r}", file=sys.stderr)
-            return 2
-    sink = _trace_sink(args.out, args.sample)
-    try:
-        with use_tracer(Tracer(sink)):
-            for scheme in schemes:
-                _simulate_one(pop, cluster, scheme, args)
-    finally:
-        sink.close()
+    schemes = _scheme_list(args.schemes)
+    if schemes is None:
+        return 2
+    with _maybe_trace(args.out, args.sample) as sink:
+        for scheme in schemes:
+            _simulate_one(pop, cluster, scheme, args)
     rows = trace_summary(args.out)
     print(
         format_table(
@@ -633,40 +678,77 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _load_timelines(path: str) -> list[dict] | None:
-    """Timeline sections from a manifest, a section list, or one section.
+#: section key -> (the message for a file that is none of the inputs,
+#: the message for an input without sections); ``{}`` is the path.
+#: ``None`` keys ``dash``, which reads the whole manifest.
+_SECTION_ERRORS = {
+    "timelines": (
+        "{} holds neither a run manifest nor timeline sections",
+        "no timeline sections in {}",
+    ),
+    "causal": (
+        "{} holds neither a run manifest, causal sections, nor a readable "
+        "JSONL trace",
+        "no causal sections in {} (older manifest schema, or a trace "
+        "without cspan events?)",
+    ),
+    "popularity": (
+        "{} holds neither a run manifest, popularity sections, nor a "
+        "readable JSONL trace",
+        "no popularity sections in {} (older manifest schema, or a trace "
+        "without read events?)",
+    ),
+    None: ("{} holds neither a run manifest nor a JSONL trace",) * 2,
+}
 
-    Accepts a schema-v2 run manifest (its ``timelines`` list), a bare
-    JSON list of sections, or a single section object — so both
-    ``results/<exp>.json`` and hand-extracted sections render.  Reports
-    failure to stderr and returns ``None``.
+
+def _load_sections(path, key, marker, rebuild=None, *, quiet=False):
+    """A viewer's sections from a manifest, section JSON, or JSONL trace.
+
+    The file may hold a run manifest (its ``key`` list), a bare JSON list
+    of sections, or one section (an object carrying ``marker``).  With
+    ``key=None`` the manifest itself, recognised by ``marker``, is the
+    one section and bare lists are refused.  Viewers with a trace
+    ``rebuild`` also read a JSONL trace: any other file goes to
+    ``rebuild(path)``.  Returns ``(sections, from_trace)``, or ``(None,
+    False)`` after reporting the failure to stderr (unless ``quiet``).
     """
+
+    def fail(message: str):
+        if not quiet:
+            print(message, file=sys.stderr)
+        return None, False
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except FileNotFoundError:
-        print(f"no such file: {path}", file=sys.stderr)
-        return None
+        return fail(f"no such file: {path}")
     except json.JSONDecodeError as exc:
-        print(f"{path} is not JSON ({exc.msg})", file=sys.stderr)
-        return None
-    if isinstance(doc, dict) and "timelines" in doc:
-        sections = doc["timelines"]
-    elif isinstance(doc, list):
+        if rebuild is None:
+            return fail(f"{path} is not JSON ({exc.msg})")
+        doc = None  # a multi-line JSONL trace, or junk: the rebuild decides
+    neither, no_sections = _SECTION_ERRORS[key]
+    from_trace = False
+    if isinstance(doc, dict) and key in doc:
+        sections = doc[key]
+    elif isinstance(doc, list) and key is not None:
         sections = doc
-    elif isinstance(doc, dict) and "scheme" in doc:
+    elif isinstance(doc, dict) and marker in doc and "event" not in doc:
         sections = [doc]
+    elif rebuild is None:
+        return fail(neither.format(path))
     else:
-        print(
-            f"{path} holds neither a run manifest nor timeline sections",
-            file=sys.stderr,
-        )
-        return None
-    sections = [s for s in sections if isinstance(s, dict) and "scheme" in s]
+        try:
+            sections = rebuild(path)
+        except (OSError, ValueError, KeyError):
+            return fail(neither.format(path))
+        from_trace = True
+    if not from_trace:
+        sections = [s for s in sections if isinstance(s, dict) and marker in s]
     if not sections:
-        print(f"no timeline sections in {path}", file=sys.stderr)
-        return None
-    return sections
+        return fail(no_sections.format(path))
+    return sections, from_trace
 
 
 def _section_title(section: dict, i: int) -> str:
@@ -679,7 +761,7 @@ def _section_title(section: dict, i: int) -> str:
 
 def _cmd_timeline(args) -> int:
     """Render the sim-time timeline series of a manifest's sections."""
-    sections = _load_timelines(args.manifest)
+    sections, _ = _load_sections(args.manifest, "timelines", "scheme")
     if sections is None:
         return 2
     if args.json:
@@ -710,7 +792,7 @@ def _cmd_timeline(args) -> int:
 
 def _cmd_tail(args) -> int:
     """Render tail-latency attribution and the slowest-request exemplars."""
-    sections = _load_timelines(args.manifest)
+    sections, _ = _load_sections(args.manifest, "timelines", "scheme")
     if sections is None:
         return 2
     if args.json:
@@ -771,55 +853,6 @@ def _cmd_tail(args) -> int:
     return 0
 
 
-def _load_causal(path: str) -> tuple[list[dict], bool] | None:
-    """Causal sections from a manifest, section JSON, or JSONL trace.
-
-    Accepts a schema-v6 run manifest (its ``causal`` list), a bare JSON
-    list of sections, a single section object, or a JSONL event trace
-    (``cspan`` span trees are rebuilt into per-request DAGs via
-    :func:`repro.obs.causal_from_trace`).  Returns ``(sections,
-    from_trace)`` so callers know whether Chrome export is possible, or
-    ``None`` after reporting the failure to stderr.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        print(f"no such file: {path}", file=sys.stderr)
-        return None
-    except json.JSONDecodeError:
-        doc = None  # multi-line JSONL trace — rebuild from cspan events
-    from_trace = False
-    if isinstance(doc, dict) and "causal" in doc:
-        sections = doc["causal"]
-    elif isinstance(doc, dict) and "conservation" in doc:
-        sections = [doc]
-    elif isinstance(doc, list):
-        sections = doc
-    else:
-        try:
-            sections = causal_from_trace(path)
-        except (OSError, ValueError, KeyError, json.JSONDecodeError):
-            print(
-                f"{path} holds neither a run manifest, causal sections, "
-                "nor a readable JSONL trace",
-                file=sys.stderr,
-            )
-            return None
-        from_trace = True
-    sections = [
-        s for s in sections if isinstance(s, dict) and "conservation" in s
-    ]
-    if not sections:
-        print(
-            f"no causal sections in {path} (older manifest schema, or a "
-            "trace without cspan events?)",
-            file=sys.stderr,
-        )
-        return None
-    return sections, from_trace
-
-
 def _causal_title(section: dict, i: int) -> str:
     conservation = section.get("conservation") or {}
     title = (
@@ -872,10 +905,11 @@ def _causal_check(sections: list[dict], from_trace: bool) -> int:
 
 def _cmd_critical(args) -> int:
     """Render per-request critical paths and causal edge aggregates."""
-    loaded = _load_causal(args.source)
-    if loaded is None:
+    sections, from_trace = _load_sections(
+        args.source, "causal", "conservation", causal_from_trace
+    )
+    if sections is None:
         return 2
-    sections, from_trace = loaded
     if args.chrome:
         if not from_trace:
             print(
@@ -908,54 +942,6 @@ def _cmd_critical(args) -> int:
             )
         print()
     return 0
-
-
-def _load_popularity(path: str, *, quiet: bool = False) -> list[dict] | None:
-    """Popularity sections from a manifest, section JSON, or JSONL trace.
-
-    Accepts a schema-v3 run manifest (its ``popularity`` list), a bare
-    JSON list of sections, a single section object, or a JSONL event
-    trace (``read`` events are replayed through a fresh monitor, one
-    section per scheme).  Reports failure to stderr and returns ``None``.
-    """
-
-    def _fail(message: str) -> None:
-        if not quiet:
-            print(message, file=sys.stderr)
-
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        _fail(f"no such file: {path}")
-        return None
-    except json.JSONDecodeError:
-        doc = None  # multi-line JSONL trace, or garbage — replay decides
-    if isinstance(doc, dict) and "popularity" in doc:
-        sections = doc["popularity"]
-    elif isinstance(doc, dict) and "scheme" in doc and "event" not in doc:
-        sections = [doc]
-    elif isinstance(doc, list):
-        sections = doc
-    else:
-        # Either unparsable as one JSON document (JSONL) or a single
-        # trace event line: replay the trace's read events.
-        try:
-            sections = popularity_from_trace(path)
-        except (OSError, ValueError, KeyError, json.JSONDecodeError):
-            _fail(
-                f"{path} holds neither a run manifest, popularity "
-                "sections, nor a readable JSONL trace"
-            )
-            return None
-    sections = [s for s in sections if isinstance(s, dict) and "scheme" in s]
-    if not sections:
-        _fail(
-            f"no popularity sections in {path} (older manifest schema, "
-            "or a trace without read events?)"
-        )
-        return None
-    return sections
 
 
 def _render_popularity(section: dict, i: int, k: int) -> None:
@@ -1033,7 +1019,9 @@ def _render_popularity(section: dict, i: int, k: int) -> None:
 
 def _cmd_top(args) -> int:
     """Render top-K hot files, skew, imbalance, and alerts."""
-    sections = _load_popularity(args.source)
+    sections, _ = _load_sections(
+        args.source, "popularity", "scheme", popularity_from_trace
+    )
     if sections is None:
         return 2
     if args.json:
@@ -1051,7 +1039,10 @@ def _cmd_watch(args) -> int:
 
     frame = 0
     while True:
-        sections = _load_popularity(args.source, quiet=True)
+        sections, _ = _load_sections(
+            args.source, "popularity", "scheme", popularity_from_trace,
+            quiet=True,
+        )
         if sys.stdout.isatty():
             print("\x1b[2J\x1b[H", end="")
         if sections is None:
@@ -1066,33 +1057,18 @@ def _cmd_watch(args) -> int:
         _time.sleep(args.interval)
 
 
-def _dash_board_from_file(path: str) -> "DashBoard | None":
-    """A board from a run-manifest JSON file or a JSONL event trace.
+def _replay_board(path: str) -> list[DashBoard]:
+    """A JSONL trace replayed into a one-board list for ``repro dash``.
 
-    A file that parses as one JSON object with manifest-shaped keys goes
-    through :func:`dash_from_manifest`; anything else is replayed as a
-    JSONL trace.  Reports failure to stderr and returns ``None``.
+    Raises ``ValueError`` when the file's records carry no ``event``
+    field at all (a foreign JSON object, not a trace).
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        print(f"no such file: {path}", file=sys.stderr)
-        return None
-    except json.JSONDecodeError:
-        doc = None  # multi-line JSONL trace — replay decides below
-    if isinstance(doc, dict) and "event" not in doc:
-        return dash_from_manifest(doc)
+    records = load_events(path)
+    if records and not any("event" in record for record in records):
+        raise ValueError(f"{path} holds no trace events")
     board = DashBoard()
-    try:
-        board.feed_many(load_events(path))
-    except (OSError, ValueError):
-        print(
-            f"{path} holds neither a run manifest nor a JSONL trace",
-            file=sys.stderr,
-        )
-        return None
-    return board
+    board.feed_many(records)
+    return [board]
 
 
 def _print_frame(board, args) -> None:
@@ -1112,10 +1088,13 @@ def _cmd_dash(args) -> int:
         return 0
 
     if not args.follow:
-        board = _dash_board_from_file(args.source)
-        if board is None:
+        sections, from_trace = _load_sections(
+            args.source, None, "schema_version", _replay_board
+        )
+        if sections is None:
             return 2
-        _print_frame(board, args)
+        board = sections[0]
+        _print_frame(board if from_trace else dash_from_manifest(board), args)
         return 0
 
     # --follow: tail the growing JSONL trace, re-rendering a frame at
@@ -1146,30 +1125,6 @@ def _cmd_dash(args) -> int:
     return 0
 
 
-def _cmd_experiments(args) -> int:
-    from repro.experiments.run_all import main as run_all_main
-
-    forwarded = []
-    if args.list:
-        forwarded.append("--list")
-    if args.only:
-        forwarded += ["--only", args.only]
-    forwarded += [
-        "--scale", str(args.scale),
-        "--out", args.out,
-        "--jobs", str(args.jobs),
-    ]
-    if args.batch_size is not None:
-        forwarded += ["--batch-size", str(args.batch_size)]
-    if args.slo is not None:
-        forwarded += ["--slo", args.slo]
-    if args.trace:
-        forwarded += ["--trace", args.trace]
-    if args.chrome_trace:
-        forwarded += ["--chrome-trace", args.chrome_trace]
-    return run_all_main(forwarded)
-
-
 def _load_manifests(path: str) -> tuple[dict, list[str]] | None:
     """Load a manifest directory, reporting failure to stderr."""
     import pathlib
@@ -1182,6 +1137,16 @@ def _load_manifests(path: str) -> tuple[dict, list[str]] | None:
     for name in skipped:
         print(f"skipping {p / name}: not a run manifest", file=sys.stderr)
     return manifests, skipped
+
+
+def _write_or_print(text: str, out: str | None, what: str) -> None:
+    """Write ``text`` to ``out`` and say so, or print it when unset."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        print(f"{what} -> {out}")
+    else:
+        print(text, end="")
 
 
 def _cmd_report(args) -> int:
@@ -1208,26 +1173,19 @@ def _cmd_report(args) -> int:
                         continue
                     labels["experiment"] = name
                     merged[render_snapshot_key(metric, labels)] = value
-            text = render_snapshot_openmetrics(merged)
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-                print(
-                    f"openmetrics: {len(manifests)} manifest(s) -> {args.out}"
-                )
-            else:
-                print(text, end="")
-            return 0
-        if args.json:
+            _write_or_print(
+                render_snapshot_openmetrics(merged),
+                args.out,
+                f"openmetrics: {len(manifests)} manifest(s)",
+            )
+        elif args.json:
             print(json.dumps(manifests, indent=2, default=str))
         else:
-            text = render_report(manifests)
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-                print(f"report: {len(manifests)} manifest(s) -> {args.out}")
-            else:
-                print(text, end="")
+            _write_or_print(
+                render_report(manifests),
+                args.out,
+                f"report: {len(manifests)} manifest(s)",
+            )
         return 0
 
     base_loaded = _load_manifests(args.diff)
@@ -1251,13 +1209,11 @@ def _cmd_report(args) -> int:
     if args.json:
         print(json.dumps(regressions, indent=2, default=str))
     else:
-        text = render_diff(regressions, n_base=len(base), n_new=len(manifests))
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            print(f"diff: {len(regressions)} regression(s) -> {args.out}")
-        else:
-            print(text, end="")
+        _write_or_print(
+            render_diff(regressions, n_base=len(base), n_new=len(manifests)),
+            args.out,
+            f"diff: {len(regressions)} regression(s)",
+        )
     return 1 if regressions else 0
 
 
@@ -1268,41 +1224,13 @@ def main(argv: list[str] | None = None) -> int:
     p_sim = sub.add_parser("simulate", help="run one scheme on a workload")
     _add_workload_args(p_sim)
     p_sim.add_argument("--scheme", choices=sorted(_SCHEMES), default="sp")
-    p_sim.add_argument("--requests", type=int, default=3000)
-    p_sim.add_argument(
-        "--stragglers", choices=sorted(_STRAGGLERS), default="natural"
-    )
-    _add_discipline_arg(p_sim)
-    _add_batch_size_arg(p_sim)
-    _add_causal_arg(p_sim)
-    p_sim.add_argument(
-        "--json", action="store_true", help="machine-parseable JSON output"
-    )
-    p_sim.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="also record a JSONL event trace to PATH",
-    )
-    _add_sample_arg(p_sim)
+    _add_run_args(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_cmp = sub.add_parser("compare", help="race several schemes")
     _add_workload_args(p_cmp)
     p_cmp.add_argument("--schemes", default="sp,ec,replication")
-    p_cmp.add_argument("--requests", type=int, default=3000)
-    p_cmp.add_argument(
-        "--stragglers", choices=sorted(_STRAGGLERS), default="natural"
-    )
-    _add_discipline_arg(p_cmp)
-    _add_batch_size_arg(p_cmp)
-    _add_causal_arg(p_cmp)
-    p_cmp.add_argument(
-        "--json", action="store_true", help="machine-parseable JSON output"
-    )
-    p_cmp.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="also record a JSONL event trace to PATH",
-    )
-    _add_sample_arg(p_cmp)
+    _add_run_args(p_cmp)
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_cfg = sub.add_parser("configure", help="run the scale-factor search")
@@ -1315,14 +1243,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     _add_workload_args(p_trc)
     p_trc.add_argument("--schemes", default="sp")
-    p_trc.add_argument("--requests", type=int, default=3000)
-    p_trc.add_argument(
-        "--stragglers", choices=sorted(_STRAGGLERS), default="natural"
-    )
-    _add_discipline_arg(p_trc)
-    _add_causal_arg(p_trc)
-    p_trc.add_argument("--out", required=True, metavar="PATH")
-    _add_sample_arg(p_trc)
+    _add_run_args(p_trc, out=True)
     p_trc.set_defaults(func=_cmd_trace)
 
     p_sts = sub.add_parser(
@@ -1378,7 +1299,7 @@ def main(argv: list[str] | None = None) -> int:
         help="a results/<exp>.json manifest (or extracted timeline JSON)",
     )
     p_tail.add_argument(
-        "--top", type=int, default=10, metavar="N",
+        "--top", type=_COUNT, default=10, metavar="N",
         help="show the N slowest exemplars per section (default %(default)s)",
     )
     p_tail.add_argument(
@@ -1398,7 +1319,7 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     p_crt.add_argument(
-        "--top", type=int, default=10, metavar="N",
+        "--top", type=_COUNT, default=10, metavar="N",
         help="show the N slowest critical paths per section (default 10)",
     )
     p_crt.add_argument(
@@ -1429,7 +1350,7 @@ def main(argv: list[str] | None = None) -> int:
         help="run manifest JSON, popularity section(s), or JSONL trace",
     )
     p_top.add_argument(
-        "--k", type=int, default=10, help="hot files to show (default 10)"
+        "--k", type=_COUNT, default=10, help="hot files to show (default 10)"
     )
     p_top.add_argument(
         "--json", action="store_true", help="emit raw sections as JSON"
@@ -1444,16 +1365,16 @@ def main(argv: list[str] | None = None) -> int:
         "source",
         help="run manifest JSON, popularity section(s), or JSONL trace",
     )
-    p_watch.add_argument("--k", type=int, default=10)
+    p_watch.add_argument("--k", type=_COUNT, default=10)
     p_watch.add_argument(
         "--interval",
-        type=float,
+        type=_SECONDS,
         default=2.0,
         help="seconds between renders (default 2)",
     )
     p_watch.add_argument(
         "--frames",
-        type=int,
+        type=_COUNT,
         default=0,
         help="stop after N renders (default 0 = forever)",
     )
@@ -1475,15 +1396,15 @@ def main(argv: list[str] | None = None) -> int:
         help="tail a growing JSONL trace and re-render as records arrive",
     )
     p_dash.add_argument(
-        "--interval", type=float, default=2.0, metavar="SEC",
+        "--interval", type=_SECONDS, default=2.0, metavar="SEC",
         help="minimum seconds between frames with --follow (default 2)",
     )
     p_dash.add_argument(
-        "--frames", type=int, default=0, metavar="N",
+        "--frames", type=_COUNT, default=0, metavar="N",
         help="with --follow, stop after N frames (default 0 = forever)",
     )
     p_dash.add_argument(
-        "--idle-limit", type=float, default=None, dest="idle_limit",
+        "--idle-limit", type=_SECONDS, default=None, dest="idle_limit",
         metavar="SEC",
         help=(
             "with --follow, stop once the trace stops growing for SEC "
@@ -1491,7 +1412,7 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     p_dash.add_argument(
-        "--k", type=int, default=5, help="hot files per scheme (default 5)"
+        "--k", type=_COUNT, default=5, help="hot files per scheme (default 5)"
     )
     p_dash.add_argument(
         "--plain", action="store_true",
@@ -1500,44 +1421,8 @@ def main(argv: list[str] | None = None) -> int:
     p_dash.set_defaults(func=_cmd_dash)
 
     p_exp = sub.add_parser("experiments", help="regenerate evaluation tables")
-    p_exp.add_argument(
-        "--only", default=None, metavar="NAMES",
-        help="comma-separated experiment names and/or glob patterns",
-    )
-    p_exp.add_argument(
-        "--list", action="store_true",
-        help="print the experiment registry as a table and exit",
-    )
-    p_exp.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="run up to N experiments in parallel worker processes",
-    )
-    p_exp.add_argument("--scale", type=float, default=1.0)
-    p_exp.add_argument(
-        "--batch-size", type=int, default=None, dest="batch_size",
-        metavar="B",
-        help=(
-            "vectorized planning batch size for batchable experiments "
-            "(bit-exact vs scalar; unset runs the scalar engine)"
-        ),
-    )
-    p_exp.add_argument(
-        "--slo", default=None, metavar="SPEC",
-        help=(
-            "SLO objectives for every experiment, e.g. "
-            "'p99<0.05,imbalance<3' (default: the loose built-in set)"
-        ),
-    )
-    p_exp.add_argument("--out", default="results")
-    p_exp.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="record a JSONL event trace of the whole pass to PATH",
-    )
-    p_exp.add_argument(
-        "--chrome-trace", default=None, dest="chrome_trace", metavar="PATH",
-        help="write a Chrome/Perfetto trace-event timeline to PATH",
-    )
-    p_exp.set_defaults(func=_cmd_experiments)
+    run_all.add_arguments(p_exp)
+    p_exp.set_defaults(func=run_all.run)
 
     p_rep = sub.add_parser(
         "report", help="aggregate run manifests; --diff flags regressions"

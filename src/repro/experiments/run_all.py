@@ -81,7 +81,7 @@ from repro.experiments.registry import (
     resolve_names,
 )
 
-__all__ = ["main", "run_experiment"]
+__all__ = ["add_arguments", "main", "run", "run_experiment"]
 
 #: manifest section key -> the channel its sections are published on.
 _SECTION_CHANNELS = {
@@ -249,8 +249,8 @@ def _run_parallel(
         _write_result(name, rows, manifest, outdir)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare the pass's flags: this parser's and ``repro experiments``'."""
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument(
         "--only", type=str, default=None, metavar="NAMES",
@@ -291,8 +291,10 @@ def main(argv: list[str] | None = None) -> int:
         "--chrome-trace", default=None, metavar="PATH",
         help="write every span as a Chrome/Perfetto trace-event timeline",
     )
-    args = parser.parse_args(argv)
 
+
+def run(args: argparse.Namespace) -> int:
+    """Run the pass that ``args``, parsed by :func:`add_arguments`, asks for."""
     if args.list:
         print(format_table(registry_table_rows(), title="experiment registry"))
         return 0
@@ -368,6 +370,12 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    add_arguments(parser)
+    return run(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

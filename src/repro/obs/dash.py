@@ -40,6 +40,7 @@ import numpy as np
 from repro.obs import events as ev
 from repro.obs.metrics import parse_snapshot_key
 from repro.obs.popularity import SpaceSavingTopK
+from repro.obs.replay import parse_json_lines
 
 __all__ = [
     "DashBoard",
@@ -510,16 +511,3 @@ def follow_lines(path, *, poll_s: float = 0.5, idle_limit: float | None = None):
                     return
                 time.sleep(poll_s)
                 idle += poll_s
-
-
-def parse_json_lines(lines) -> Iterator[dict[str, Any]]:
-    """JSON-object records out of an iterable of lines; junk is skipped."""
-    import json
-
-    for line in lines:
-        try:
-            record = json.loads(line)
-        except (ValueError, TypeError):
-            continue
-        if isinstance(record, dict):
-            yield record

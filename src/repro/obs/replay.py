@@ -30,6 +30,7 @@ from repro.obs import events as ev
 __all__ = [
     "KNOWN_EVENTS",
     "iter_trace",
+    "parse_json_lines",
     "load_events",
     "event_counts",
     "metrics_snapshots",
@@ -45,23 +46,26 @@ __all__ = [
 KNOWN_EVENTS = frozenset(ev.EVENT_LAYER)
 
 
-def iter_trace(path: str | Path) -> Iterator[dict[str, Any]]:
-    """Yield one record per parseable non-empty line of a JSONL trace.
+def parse_json_lines(lines) -> Iterator[dict[str, Any]]:
+    """JSON-object records out of an iterable of lines; junk is skipped.
 
-    Lines that are not valid JSON objects are skipped — a truncated
-    final line from a killed run must not poison the whole replay.
+    Blank lines, lines that are not valid JSON, and JSON values that are
+    not objects are dropped — a truncated final line from a killed run
+    must not poison the whole replay.
     """
+    for line in lines:
+        try:
+            record = json.loads(line)
+        except (ValueError, TypeError):
+            continue
+        if isinstance(record, dict):
+            yield record
+
+
+def iter_trace(path: str | Path) -> Iterator[dict[str, Any]]:
+    """Yield one record per parseable line of a JSONL trace file."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(record, dict):
-                yield record
+        yield from parse_json_lines(fh)
 
 
 def load_events(source) -> list[dict[str, Any]]:

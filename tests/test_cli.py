@@ -701,6 +701,14 @@ def test_dash_bad_inputs_fail_cleanly(tmp_path, capsys):
          "--idle-limit", "0.1"]
     ) == 2
     assert "no such trace file" in capsys.readouterr().err
+    # A JSON object without ``schema_version`` is no manifest, and with
+    # no trace events it is no trace either.
+    foreign = tmp_path / "foreign.json"
+    foreign.write_text('{"wall_seconds": 1}')
+    assert main(["dash", str(foreign), "--plain"]) == 2
+    assert capsys.readouterr().err == (
+        f"{foreign} holds neither a run manifest nor a JSONL trace\n"
+    )
 
 
 # -- satellite: top/watch resilience on degenerate traces ------------------
@@ -867,3 +875,134 @@ def test_stats_layered_event_table_with_store_kinds(tmp_path, capsys):
     ):
         assert kind in printed, kind
         assert layer in printed, layer
+
+
+# -- one viewer loader, one experiments flag table -------------------------
+
+
+_VIEWER_INPUTS = {
+    "missing": None,
+    "foreign": '{"wall_seconds": 1}',
+    "empty_manifest": None,  # the viewer's own section key, empty
+    "empty_file": "",
+}
+
+#: viewer -> input kind -> the stderr line it prints (``{p}`` = the path).
+_VIEWER_ERRORS = {
+    "timeline": {
+        "foreign": "{p} holds neither a run manifest nor timeline sections",
+        "empty_manifest": "no timeline sections in {p}",
+        "empty_file": "{p} is not JSON (Expecting value)",
+    },
+    "critical": {
+        "foreign": "no causal sections in {p} (older manifest schema, "
+        "or a trace without cspan events?)",
+        "empty_manifest": "no causal sections in {p} (older manifest "
+        "schema, or a trace without cspan events?)",
+        "empty_file": "no causal sections in {p} (older manifest schema, "
+        "or a trace without cspan events?)",
+    },
+    "top": {
+        "foreign": "no popularity sections in {p} (older manifest schema, "
+        "or a trace without read events?)",
+        "empty_manifest": "no popularity sections in {p} (older manifest "
+        "schema, or a trace without read events?)",
+        "empty_file": "no popularity sections in {p} (older manifest "
+        "schema, or a trace without read events?)",
+    },
+}
+_VIEWER_ERRORS["tail"] = _VIEWER_ERRORS["timeline"]
+_VIEWER_KEYS = {
+    "timeline": "timelines", "tail": "timelines",
+    "critical": "causal", "top": "popularity",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_VIEWER_INPUTS))
+@pytest.mark.parametrize("viewer", sorted(_VIEWER_KEYS))
+def test_viewer_bad_inputs_exit_2_with_their_message(
+    tmp_path, capsys, viewer, kind
+):
+    path = tmp_path / f"{kind}.json"
+    if kind == "empty_manifest":
+        path.write_text(json.dumps({_VIEWER_KEYS[viewer]: []}))
+    elif _VIEWER_INPUTS[kind] is not None:
+        path.write_text(_VIEWER_INPUTS[kind])
+    assert main([viewer, str(path)]) == 2
+    captured = capsys.readouterr()
+    expected = (
+        "no such file: {p}"
+        if kind == "missing"
+        else _VIEWER_ERRORS[viewer][kind]
+    )
+    assert captured.err == expected.format(p=path) + "\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tail", "m.json", "--top", "-1"],
+        ["critical", "run.jsonl", "--top", "-2"],
+        ["top", "m.json", "--k", "-3"],
+        ["watch", "m.json", "--frames", "1", "--interval", "0", "--k", "-1"],
+        ["watch", "m.json", "--frames", "-1"],
+        ["watch", "m.json", "--interval", "-1"],
+        ["watch", "m.json", "--interval", "nan"],
+        ["dash", "run.jsonl", "--k", "-1"],
+        ["dash", "run.jsonl", "--follow", "--frames", "-1"],
+        ["dash", "run.jsonl", "--follow", "--interval", "-1"],
+        ["dash", "run.jsonl", "--follow", "--idle-limit", "-0.5"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_viewer_counts_and_intervals_reject_negatives(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[-2]}: must be >= 0" in capsys.readouterr().err
+
+
+def test_viewer_zero_counts_are_accepted(tmp_path, capsys):
+    manifest = tmp_path / "figP.json"
+    _write_popularity_manifest(manifest)
+    capsys.readouterr()
+    assert main(["top", str(manifest), "--k", "0"]) == 0
+    assert "no observations" in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        main(["top", str(manifest), "--k", "two"])
+    assert "invalid int value: 'two'" in capsys.readouterr().err
+
+
+def _sample_argv(action, option: str) -> list[str]:
+    if action.nargs == 0:
+        return [option]
+    return [option, {int: "3", float: "0.5"}.get(action.type, "x")]
+
+
+def test_experiments_takes_run_all_flags(monkeypatch):
+    """Every run_all option parses to the same namespace under
+    ``repro experiments``: same dests, same defaults, same types."""
+    import argparse
+
+    from repro.experiments import run_all
+
+    parsed = []
+    monkeypatch.setattr(
+        run_all, "run", lambda args: parsed.append(vars(args)) or 0
+    )
+    reference = argparse.ArgumentParser()
+    run_all.add_arguments(reference)
+    for action in reference._actions:
+        if action.dest == "help":
+            continue
+        for option in action.option_strings:
+            argv = _sample_argv(action, option)
+            parsed.clear()
+            assert run_all.main(argv) == 0
+            assert main(["experiments", *argv]) == 0
+            direct, via_cli = parsed
+            via_cli = {
+                k: v for k, v in via_cli.items() if k not in ("command", "func")
+            }
+            assert via_cli == direct, option
