@@ -1,6 +1,6 @@
 """Microbenchmark: cost of causal tracing on the simulation hot path.
 
-Three configurations of the PS (event-heap) engine on a fig13-like
+Three configurations of the PS engine on a fig13-like
 4k-request workload — the engine the tail-latency figures use, so the
 ratio reflects realistic per-request work rather than the bare scalar
 loop (where any python-level collection dominates; cf. the timeline

@@ -15,7 +15,7 @@ Four configurations of the FIFO engine on a 5k-request workload:
   buffering plus one finalize pass).
 
 :func:`run_timeline_overhead` additionally times the *enabled* timeline
-path on a fig13-like PS workload (the event-heap engine the tail-latency
+path on a fig13-like PS workload (the engine the tail-latency
 figures use) against the same run with timelines off — the number quoted
 in ``docs/observability.md``.
 
@@ -203,7 +203,7 @@ def run_overhead(n_requests: int = 5000, repeats: int = 7):
 
 
 def run_timeline_overhead(n_requests: int = 4000, repeats: int = 5):
-    """Enabled-timeline cost on a fig13-like PS (event-heap) workload.
+    """Enabled-timeline cost on a fig13-like PS workload.
 
     fig13 runs the ``ps`` discipline on the 30-server EC2-like cluster;
     this times that engine with timelines off vs. on (default window

@@ -1,4 +1,4 @@
-"""Bandwidth-sharing disciplines on a lazily-invalidated event heap.
+"""Bandwidth-sharing disciplines on a slot table of active flows.
 
 Two registered disciplines run on the same engine:
 
@@ -22,8 +22,27 @@ active flows on the server and ``n_r`` active flows of the request.
 (Bottleneck-cap allocation without residual-share redistribution —
 slightly conservative relative to full max-min water-filling, identical
 when one side clearly bottlenecks.)  Rates change only at flow
-activation/completion, so an event-driven engine with lazily invalidated
-per-flow completion events simulates it exactly.
+activation/completion, so an event-driven engine simulates it exactly.
+
+Engine: in-flight flows live in a :class:`_SlotTable` of numpy columns
+(flow id, server, request, remaining bytes, rate, last update, ``eta``)
+next to per-server and per-request active counts.  An arrival or a
+completion re-rates exactly the flows whose share it changes — every
+active flow on the touched servers and of the touched requests — in one
+vectorized update::
+
+    rem  = max(rem - rate * (t - last), 0)
+    rate = min(B_s / n_s, B_c / n_r)
+    eta  = t + rem / rate
+
+the same IEEE operations, in the same order, as a per-flow event loop,
+so ``ps``/``limited(c)`` results are bitwise reproducible
+(``tests/test_cluster/test_ps_oracle.py`` checks them against a kept
+per-flow heap engine).  The next completion is ``argmin(eta)``: flows
+take slots in flow-id order at arrival and compaction is stable, so
+equal ``eta`` resolves to the smaller flow id.  A heap holds only the
+arrivals and straggler reports; at equal times an arrival runs first,
+then a completion, then a report.
 
 A flow's *effective* bytes fold in the per-connection goodput loss
 (``size / g(fan_out)``) and an optional exponential jitter factor.
@@ -48,14 +67,136 @@ from repro.cluster.engine.registry import register_discipline
 __all__ = ["LimitedDiscipline", "PSDiscipline", "simulate_reads_ps"]
 
 
+class _SlotTable:
+    """In-flight flows as numpy columns, in flow-id order.
+
+    Slots ``[0, top)`` are in use, and ``fid[:top]`` is increasing (a
+    freed slot keeps its id and clears ``live``).  A free or waiting
+    slot has the sentinels ``n_servers`` / ``n_requests`` as its server
+    / request (so no membership test matches it) and ``eta == +inf``.
+    ``n_server`` / ``n_request`` count the active flows per server /
+    request (the sentinel entries stay 0).
+    """
+
+    def __init__(
+        self,
+        bandwidths: np.ndarray,
+        client_bw: float,
+        n_servers: int,
+        n_requests: int,
+    ) -> None:
+        self.bandwidths = bandwidths
+        self.client_bw = client_bw
+        self.no_server = n_servers
+        self.no_request = n_requests
+        self.n_server = np.zeros(n_servers + 1, dtype=np.int64)
+        self.n_request = np.zeros(n_requests + 1, dtype=np.int64)
+        self.top = 0
+        self._alloc(64)
+
+    def _alloc(self, capacity: int) -> None:
+        self.fid = np.zeros(capacity, dtype=np.int64)
+        self.live = np.zeros(capacity, dtype=bool)
+        self.server = np.full(capacity, self.no_server, dtype=np.int64)
+        self.request = np.full(capacity, self.no_request, dtype=np.int64)
+        self.extra = np.zeros(capacity)
+        self.remaining = np.zeros(capacity)
+        self.rate = np.zeros(capacity)
+        self.last = np.zeros(capacity)
+        self.eta = np.full(capacity, np.inf)
+
+    def reserve(self, k: int) -> int:
+        """First of ``k`` fresh slots at the top, compacting when full.
+
+        Compaction keeps the live slots in order, so slot order stays
+        flow-id order; it doubles the table when more than half is live.
+        """
+        top = self.top
+        if top + k > self.fid.size:
+            cols = ("fid", "live", "server", "request", "extra",
+                    "remaining", "rate", "last", "eta")
+            live = self.live[:top]
+            kept = [getattr(self, name)[:top][live] for name in cols]
+            top = kept[0].size
+            self._alloc(max(self.fid.size, 2 * (top + k)))
+            for name, col in zip(cols, kept):
+                getattr(self, name)[:top] = col
+        self.top = top + k
+        return top
+
+    def activate(self, i: int, sid: int, rid: int, t: float) -> None:
+        """Slot ``i``'s flow starts to hold bandwidth at time ``t``."""
+        self.server[i] = sid
+        self.request[i] = rid
+        self.last[i] = t
+        self.n_server[sid] += 1
+        self.n_request[rid] += 1
+
+    def release(self, i: int, sid: int, rid: int) -> None:
+        """Slot ``i``'s active flow finished; the slot becomes free."""
+        self.live[i] = False
+        self.server[i] = self.no_server
+        self.request[i] = self.no_request
+        self.eta[i] = np.inf
+        self.n_server[sid] -= 1
+        self.n_request[rid] -= 1
+
+    def rerate(self, idx: np.ndarray, t: float) -> None:
+        """Bring the flows in slots ``idx`` to ``t`` and re-rate them."""
+        srv = self.server[idx]
+        rem = self.remaining[idx] - self.rate[idx] * (t - self.last[idx])
+        np.maximum(rem, 0.0, out=rem)
+        rate = np.minimum(
+            self.bandwidths[srv] / self.n_server[srv],
+            self.client_bw / self.n_request[self.request[idx]],
+        )
+        self.remaining[idx] = rem
+        self.last[idx] = t
+        self.rate[idx] = rate
+        self.eta[idx] = t + rem / rate
+
+
+class _FlowColumns:
+    """Per-flow recorder columns, indexed by flow id, doubled as needed."""
+
+    COLUMNS = {
+        "request": np.int64,
+        "pos": np.int64,
+        "server": np.int64,
+        "bytes": np.float64,
+        "start": np.float64,
+        "end": np.float64,
+        "extra": np.float64,
+        "gfactor": np.float64,
+    }
+
+    def __init__(self) -> None:
+        for name, dtype in self.COLUMNS.items():
+            setattr(self, name, np.empty(0, dtype=dtype))
+
+    def reserve(self, n: int) -> None:
+        """Make room for flow ids ``< n``."""
+        size = self.request.size
+        if n > size:
+            size = max(2 * size, n, 1024)
+            for name in self.COLUMNS:
+                col = getattr(self, name)
+                grown = np.empty(size, dtype=col.dtype)
+                grown[: col.size] = col
+                setattr(self, name, grown)
+
+    def frame(self, n: int) -> tuple[np.ndarray, ...]:
+        """``record_partition_frame`` arguments for flows ``0..n-1``."""
+        return tuple(getattr(self, name)[:n] for name in self.COLUMNS)
+
+
 def _run_heap(
     lc: RequestLifecycle, capacity: int | None
 ) -> SimulationResult:
-    """Drive the event heap; ``capacity=None`` means unbounded (pure PS)."""
-    config = lc.config
+    """Run every read; ``capacity=None`` means unbounded (pure PS)."""
     rng = lc.rng
     bandwidths = lc.bandwidths
-    client_bw = lc.cluster.effective_client_bandwidth
+    n_servers = lc.cluster.n_servers
     n_requests = lc.n_requests
     trace = lc.trace
     injector = lc.injector
@@ -66,10 +207,10 @@ def _run_heap(
     recorders = lc.recorders
     track = lc.track
 
-    server_bytes = np.zeros(lc.cluster.n_servers)
+    server_bytes = np.zeros(n_servers)
     if track:
         # Window loads come from snapshot-diffing this vector (accrued
-        # at flow completion in this engine).
+        # at request arrival in this engine).
         lc.popularity.attach_cumulative_loads(server_bytes)
     latencies = np.full(n_requests, np.nan)
 
@@ -79,34 +220,27 @@ def _run_heap(
     req_post_seconds = np.empty(n_requests)
     req_miss = np.zeros(n_requests, dtype=bool)
 
-    # Flow state (parallel lists indexed by flow id).
-    f_server: list[int] = []
-    f_request: list[int] = []
-    f_remaining: list[float] = []
-    f_rate: list[float] = []
-    f_last: list[float] = []
-    f_gen: list[int] = []
-    f_extra: list[float] = []  # straggler report delay, seconds
-    # Recorder bookkeeping, appended only when recording (indices stay
-    # aligned with the lists above because ``record`` is run-constant).
-    f_pos: list[int] = []  # partition position within the fork-join
-    f_start: list[float] = []  # activation time (first holds bandwidth)
-    f_bytes: list[float] = []  # nominal partition bytes
-    f_gfactor: list[float] = []  # per-connection goodput factor
-
-    # Only *active* flows hold bandwidth and appear in these sets; under
-    # a finite capacity the overflow waits, rate-0, in per-server FIFOs.
-    server_active: list[set[int]] = [
-        set() for _ in range(lc.cluster.n_servers)
+    slots = _SlotTable(
+        bandwidths,
+        lc.cluster.effective_client_bandwidth,
+        n_servers,
+        n_requests,
+    )
+    n_server = slots.n_server
+    # Flows past a finite capacity wait, holding a slot but no
+    # bandwidth, in per-server FIFOs of ``(flow id, request)``.
+    server_waiting: list[deque[tuple[int, int]]] = [
+        deque() for _ in range(n_servers)
     ]
-    request_active: list[set[int]] = [set() for _ in range(n_requests)]
-    server_waiting: list[deque[int]] = [
-        deque() for _ in range(lc.cluster.n_servers)
-    ]
+    # Servers an arrival activated flows on (plus the sentinel entry),
+    # cleared after the arrival's re-rate.
+    touched = np.zeros(n_servers + 1, dtype=bool)
+    n_flows = 0
+    flows = _FlowColumns() if record else None
 
-    # Heap of (time, kind, a, b): kind 0 = arrival of request a; kind 1 =
-    # completion candidate for flow a with generation b; kind 2 = delayed
-    # join notification for flow a (straggler report).
+    # Heap of (time, kind, a, b): kind 0 = arrival of request a; kind 2 =
+    # delayed join notification for flow a of request b (straggler
+    # report).  Completions (kind 1) come from the slot table.
     heap: list[tuple[float, int, int, int]] = [
         (float(t), 0, j, 0) for j, t in enumerate(trace.times)
     ]
@@ -123,26 +257,6 @@ def _run_heap(
     batch_j0 = 0
     batch_end = 0
     batch_eff: np.ndarray | None = None
-
-    def advance(fid: int, t: float) -> None:
-        f_remaining[fid] = max(
-            f_remaining[fid] - f_rate[fid] * (t - f_last[fid]), 0.0
-        )
-        f_last[fid] = t
-
-    def rate_of(fid: int) -> float:
-        sid = f_server[fid]
-        rid = f_request[fid]
-        return min(
-            float(bandwidths[sid]) / len(server_active[sid]),
-            client_bw / len(request_active[rid]),
-        )
-
-    def reschedule(fid: int) -> None:
-        f_rate[fid] = rate_of(fid)
-        f_gen[fid] += 1
-        eta = f_last[fid] + f_remaining[fid] / f_rate[fid]
-        heapq.heappush(heap, (eta, 1, fid, f_gen[fid]))
 
     def notify(j: int, t: float, pos: int) -> None:
         """One partition read reported complete to request ``j``'s join.
@@ -171,10 +285,23 @@ def _run_heap(
                     latency=latency,
                 )
 
-    while heap:
-        t, kind, ident, gen = heapq.heappop(heap)
+    while True:
+        top = slots.top
+        t_done = math.inf
+        if top:
+            i = int(slots.eta[:top].argmin())
+            t_done = float(slots.eta[i])
+        if heap and (
+            heap[0][0] < t_done or (heap[0][0] == t_done and heap[0][1] == 0)
+        ):
+            t, kind, ident, rid = heapq.heappop(heap)
+        elif t_done < math.inf:
+            t, kind = t_done, 1
+        else:
+            break
 
         if kind == 0:
+            # Arrival of request ``j`` at time ``t``.
             j = ident
             fid0 = int(trace.file_ids[j])
             if planner_b is not None:
@@ -209,7 +336,7 @@ def _run_heap(
                     straggled = bool(batch.straggled_extra[b_ix])
                     lc.count_straggled(straggled)
                 else:
-                    extra = np.zeros(k)
+                    extra = 0.0
                 req_remaining[j] = batch.join_count[b_ix]
                 req_post_fraction[j] = batch.post_fraction[b_ix]
                 req_post_seconds[j] = batch.post_seconds[b_ix]
@@ -241,37 +368,41 @@ def _run_heap(
                     straggled = bool(np.any(extra > 0.0))
                     lc.count_straggled(straggled)
                 else:
-                    extra = np.zeros(k)
+                    extra = 0.0
                 req_remaining[j] = op.join_count
                 req_post_fraction[j] = op.post_fraction
                 req_post_seconds[j] = op.post_seconds
             req_miss[j] = lc.admit(fid0)
 
-            affected: set[int] = set()
-            new_active: list[int] = []
-            for pos in range(k):
-                sid = int(op_servers[pos])
-                fid = len(f_server)
-                f_server.append(sid)
-                f_request.append(j)
-                f_remaining.append(max(float(sizes[pos]), 1e-12))
-                f_rate.append(0.0)
-                f_last.append(t)
-                f_gen.append(0)
-                f_extra.append(float(extra[pos]))
-                if record:
-                    f_pos.append(pos)
-                    f_start.append(t)  # overwritten if the flow waits
-                    f_bytes.append(float(op_sizes[pos]))
-                    f_gfactor.append(float(gfactors[pos]))
+            # The request's flows take ``k`` fresh slots (and flow ids
+            # ``n_flows..``) in partition order; each activates unless its
+            # server is at capacity.
+            base = slots.reserve(k)
+            new = slice(base, base + k)
+            slots.fid[new] = np.arange(n_flows, n_flows + k)
+            slots.live[new] = True
+            slots.extra[new] = extra
+            slots.remaining[new] = np.maximum(sizes, 1e-12)
+            if record:
+                flows.reserve(n_flows + k)
+                rows = slice(n_flows, n_flows + k)
+                flows.request[rows] = j
+                flows.pos[rows] = np.arange(k)
+                flows.server[rows] = op_servers
+                flows.bytes[rows] = op_sizes
+                flows.start[rows] = t  # overwritten if the flow waits
+                flows.extra[rows] = extra
+                flows.gfactor[rows] = gfactors
+            any_active = False
+            for pos, sid in enumerate(op_servers.tolist()):
                 server_bytes[sid] += op_sizes[pos]
-                if capacity is None or len(server_active[sid]) < capacity:
-                    affected.update(server_active[sid])
-                    server_active[sid].add(fid)
-                    request_active[j].add(fid)
-                    new_active.append(fid)
+                if capacity is None or n_server[sid] < capacity:
+                    slots.activate(base + pos, sid, j, t)
+                    touched[sid] = True
+                    any_active = True
                 else:
-                    server_waiting[sid].append(fid)
+                    server_waiting[sid].append((n_flows + pos, j))
+            n_flows += k
             if emit:
                 lc.emit_read(
                     ts=float(t),
@@ -286,68 +417,56 @@ def _run_heap(
                     c.record_request(
                         j, missed=bool(req_miss[j]), straggled=straggled
                     )
-            # Flows already active on touched servers lose share; bring
-            # them to t first, then recompute every rate under the new
-            # memberships.
-            for fid in affected:
-                advance(fid, t)
-            for fid in affected:
-                reschedule(fid)
-            for fid in new_active:
-                reschedule(fid)
+            if any_active:
+                # Flows already active on touched servers lose share; bring
+                # them to t and re-rate them together with the new flows.
+                on_touched = touched[slots.server[: slots.top]]
+                slots.rerate(on_touched.nonzero()[0], t)
+                touched[:] = False
 
         elif kind == 1:
-            fid = ident
-            if gen != f_gen[fid]:
-                continue  # stale candidate
-            advance(fid, t)
-            sid = f_server[fid]
-            j = f_request[fid]
-            server_active[sid].discard(fid)
-            request_active[j].discard(fid)
-            f_gen[fid] += 1  # invalidate any residual candidates
+            # Completion of the flow in slot ``i``.
+            fid = int(slots.fid[i])
+            sid = int(slots.server[i])
+            j = int(slots.request[i])
+            extra_f = float(slots.extra[i])
+            slots.release(i, sid, j)
+            pos = -1
             if record:
-                for c in recorders:
-                    c.record_partition(
-                        j,
-                        f_pos[fid],
-                        sid,
-                        f_bytes[fid],
-                        f_start[fid],
-                        t,
-                        f_extra[fid],
-                        f_gfactor[fid],
-                    )
-
-            if f_extra[fid] > 0.0:
+                flows.end[fid] = t
+                pos = int(flows.pos[fid])
+            if extra_f > 0.0:
                 # Straggler: bandwidth freed now, completion reported late.
-                heapq.heappush(heap, (t + f_extra[fid], 2, fid, 0))
+                heapq.heappush(heap, (t + extra_f, 2, fid, j))
             else:
-                notify(j, t, f_pos[fid] if record else -1)
+                notify(j, t, pos)
 
-            affected = server_active[sid] | request_active[j]
+            hit = slots.request[:top] == j
             if capacity is not None and server_waiting[sid]:
                 # A slot freed: promote the longest-waiting flow.  Its
                 # activation also squeezes its request's flows elsewhere.
-                woken = server_waiting[sid].popleft()
-                f_last[woken] = t
+                woken, rw = server_waiting[sid].popleft()
+                slots.activate(
+                    int(slots.fid[:top].searchsorted(woken)),
+                    sid,
+                    rw,
+                    t,
+                )
                 if record:
-                    f_start[woken] = t
-                server_active[sid].add(woken)
-                request_active[f_request[woken]].add(woken)
-                affected |= server_active[sid]
-                affected |= request_active[f_request[woken]]
-            for ofid in affected:
-                advance(ofid, t)
-            for ofid in affected:
-                reschedule(ofid)
+                    flows.start[woken] = t
+                hit |= slots.request[:top] == rw
+            hit |= slots.server[:top] == sid
+            slots.rerate(hit.nonzero()[0], t)
 
         else:  # kind == 2: delayed straggler report reaches the client
-            notify(f_request[ident], t, f_pos[ident] if record else -1)
+            notify(rid, t, int(flows.pos[ident]) if record else -1)
 
     if np.isnan(latencies).any():  # pragma: no cover - engine invariant
         raise AssertionError("some requests never completed")
 
+    if record:
+        for c in recorders:
+            c.record_partition_frame(*flows.frame(n_flows))
     return lc.result(latencies, server_bytes)
 
 
@@ -364,12 +483,14 @@ class LimitedDiscipline:
     """At most ``c`` concurrent flows per server, FIFO beyond that."""
 
     def __init__(self, concurrency: float):
-        if concurrency != math.inf:
-            if concurrency != int(concurrency) or concurrency < 1:
-                raise ValueError(
-                    "limited(c) needs an integer concurrency >= 1 or inf, "
-                    f"got {concurrency!r}"
-                )
+        # ``not >=`` also rejects NaN, and ``-inf`` never reaches int().
+        if not concurrency >= 1 or (
+            concurrency != math.inf and concurrency != int(concurrency)
+        ):
+            raise ValueError(
+                "limited(c) needs an integer concurrency >= 1 or inf, "
+                f"got {concurrency!r}"
+            )
         self.concurrency = concurrency
         self.name = f"limited({concurrency:g})"
 

@@ -419,7 +419,7 @@ class PopularityMonitor:
         snapshot-diffing it at window boundaries makes per-request load
         tracking free.  Window loads then mean "bytes accrued by the
         engine during the window" (the FIFO engine accrues at plan time,
-        the event-heap engine at flow completion).
+        the ``ps``/``limited`` engine at request arrival).
         """
         self._cum_loads = server_bytes
         self._snap = server_bytes.copy()

@@ -60,6 +60,14 @@ def test_stragglers_choices_rejected():
         main(["simulate", "--stragglers", "tornado", *FAST])
 
 
+@pytest.mark.parametrize("spec", ["limited(nan)", "limited(-inf)"])
+def test_non_finite_limited_spec_is_a_usage_error(spec, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--discipline", spec, *FAST])
+    assert exc.value.code == 2
+    assert "limited(c) needs an integer" in capsys.readouterr().err
+
+
 def test_simulate_json(capsys):
     assert main(["simulate", "--scheme", "sp", "--json", *FAST]) == 0
     record = json.loads(capsys.readouterr().out)

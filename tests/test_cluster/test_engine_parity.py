@@ -188,6 +188,18 @@ def test_resolve_rejects_bad_specs():
         resolve_discipline(42)
 
 
+@pytest.mark.parametrize("spec", ["limited(nan)", "limited(-inf)"])
+def test_resolve_rejects_non_finite_limited_specs(spec):
+    with pytest.raises(ValueError, match="limited\\(c\\) needs an integer"):
+        resolve_discipline(spec)
+
+
+@pytest.mark.parametrize("concurrency", [math.nan, -math.inf])
+def test_limited_rejects_non_finite_concurrency(concurrency):
+    with pytest.raises(ValueError, match="limited\\(c\\) needs an integer"):
+        LimitedDiscipline(concurrency)
+
+
 def test_custom_discipline_registration():
     """Third-party disciplines plug into simulate_reads by name."""
 
